@@ -365,7 +365,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "no attention to harvest (see docs/pruning.md)"
             )
         # Tree-surrogate path: fit one ensemble per workload on the dataset
-        # labels and drive the shared-pool campaign directly.  The factory
+        # labels and drive the engine campaign directly.  The factory
         # is a functools.partial (not a lambda) so the surrogates stay
         # picklable for --executor process.
         from repro.dse.engine import NSGA2Evolve, RandomPool

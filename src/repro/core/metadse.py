@@ -19,7 +19,7 @@ are returned in physical units.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -384,179 +384,161 @@ class MetaDSE(CrossWorkloadModel):
         from repro.dse.engine import CampaignEngine, ObjectiveSet
         from repro.dse.surrogates import StackedPredictorSurrogate
 
-        if trace is not None:
-            # Re-enter with the session installed so the adaptation phase
-            # is traced too; the campaign itself is unchanged either way
-            # (the obs determinism contract, docs/observability.md).
-            with obs.tracing(trace):
-                with obs.span(
-                    "explore",
-                    strategy=strategy,
-                    rounds=rounds,
-                    workloads=len(supports),
-                ):
-                    return self.explore(
-                        simulator,
-                        supports,
-                        objectives=objectives,
-                        objective_supports=objective_supports,
-                        maximize=maximize,
+        with ExitStack() as trace_scope:
+            if trace is not None:
+                # The adaptation phase is traced too; the campaign is
+                # unchanged either way (the obs determinism contract,
+                # docs/observability.md).
+                trace_scope.enter_context(obs.tracing(trace))
+                trace_scope.enter_context(
+                    obs.span(
+                        "explore",
+                        strategy=strategy,
+                        rounds=rounds,
+                        workloads=len(supports),
+                    )
+                )
+            if self.meta_model is None:
+                raise RuntimeError("explore() called before pretrain()")
+            workloads = list(supports)
+            if not workloads:
+                raise ValueError("explore() needs at least one target workload")
+
+            models: dict[str, MetaDSE] = {self._metric: self}
+            for metric, model in (objectives or {}).items():
+                if metric in models:
+                    raise ValueError(f"duplicate objective metric {metric!r}")
+                if model.meta_model is None:
+                    raise RuntimeError(f"objective model for {metric!r} is not pretrained")
+                models[metric] = model
+
+            adapted: dict[str, list[AdaptationResult]] = {}
+            for metric, model in models.items():
+                if metric == self._metric:
+                    model_supports = supports
+                else:
+                    model_supports = (objective_supports or {}).get(metric)
+                    if model_supports is None:
+                        raise ValueError(
+                            f"objective_supports must provide support sets for {metric!r}"
+                        )
+                missing = [w for w in workloads if w not in model_supports]
+                if missing:
+                    raise ValueError(
+                        f"supports for {metric!r} are missing workloads {missing}"
+                    )
+                with obs.span("explore.adapt", metric=metric):
+                    with self._thread_scope():
+                        adapted[metric] = model.adapt_many(
+                            [model_supports[workload] for workload in workloads]
+                        )
+
+            if store is not None and getattr(simulator, "store", None) is None:
+                simulator.attach_store(store)
+
+            objective_set = ObjectiveSet.from_names(tuple(models), maximize)
+            surrogates = {
+                workload: StackedPredictorSurrogate(
+                    [adapted[metric][index].predictor for metric in models],
+                    objective_set.names,
+                    label_means=[models[metric]._label_mean for metric in models],
+                    label_stds=[models[metric]._label_std for metric in models],
+                )
+                for index, workload in enumerate(workloads)
+            }
+            engine = CampaignEngine(
+                simulator.space,
+                simulator,
+                objective_set,
+                seed=seed,
+                screen_tile=screen_tile,
+            )
+
+            if focus is not None and not 0.0 < focus <= 1.0:
+                raise ValueError(f"focus must be in (0, 1], got {focus}")
+
+            def harvest_profile():
+                # One pooled profile for the campaign: probe once, harvest each
+                # workload's stacked surrogate, average.  Fixed-profile
+                # FocusedPool stays surrogate-independent, so the runtime's
+                # shared-pool mode and checkpoint resume still apply.
+                from repro.designspace.sampling import RandomSampler
+                from repro.meta.wam import merge_profiles
+
+                probe = RandomSampler(simulator.space, seed=seed).sample(focus_probe)
+                probe_features = engine.encoder.encode_batch(probe)
+                with self._thread_scope():
+                    return merge_profiles(
+                        [
+                            surrogates[workload].attention_profile(probe_features)
+                            for workload in workloads
+                        ]
+                    )
+
+            generator = None
+            if strategy == "random":
+                if focus is not None:
+                    from repro.dse.engine import FocusedPool
+
+                    generator = FocusedPool(
+                        candidate_pool,
+                        keep_fraction=focus,
+                        coarse_levels=focus_levels,
+                        profile=harvest_profile() if focus < 1.0 else None,
+                        refocus=False,
+                    )
+            elif strategy == "nsga2":
+                from repro.dse.engine import NSGA2Evolve
+
+                if focus is not None:
+                    raise ValueError(
+                        "focus= prunes candidate pools, which NSGA-II evolution "
+                        "does not sample; use strategy='portfolio' to combine them"
+                    )
+                generator = NSGA2Evolve(seed=seed)
+            elif strategy == "portfolio":
+                from repro.dse.engine import FocusedPool, NSGA2Evolve, RandomPool
+                from repro.dse.portfolio import StrategyPortfolio
+
+                keep = focus if focus is not None else 0.5
+                generator = StrategyPortfolio(
+                    {
+                        "random": RandomPool(candidate_pool, seed=seed),
+                        "focused": FocusedPool(
+                            candidate_pool,
+                            keep_fraction=keep,
+                            coarse_levels=focus_levels,
+                            profile=harvest_profile() if keep < 1.0 else None,
+                            refocus=False,
+                            seed=seed,
+                        ),
+                        "nsga2": NSGA2Evolve(seed=seed),
+                    }
+                )
+            else:
+                raise ValueError(
+                    f"unknown strategy {strategy!r}: expected 'random', 'nsga2' "
+                    f"or 'portfolio'"
+                )
+
+            from repro.runtime.executors import resolve_executor
+
+            campaign_executor = resolve_executor(jobs, executor)
+            try:
+                with self._thread_scope():
+                    return engine.run_campaign(
+                        workloads,
+                        surrogates,
+                        generator=generator,
                         candidate_pool=candidate_pool,
                         simulation_budget=simulation_budget,
                         rounds=rounds,
-                        seed=seed,
-                        strategy=strategy,
-                        jobs=jobs,
-                        executor=executor,
+                        executor=campaign_executor,
                         checkpoint=checkpoint,
-                        screen_tile=screen_tile,
-                        focus=focus,
-                        focus_levels=focus_levels,
-                        focus_probe=focus_probe,
-                        store=store,
-                        trace=None,
                     )
-
-        if self.meta_model is None:
-            raise RuntimeError("explore() called before pretrain()")
-        workloads = list(supports)
-        if not workloads:
-            raise ValueError("explore() needs at least one target workload")
-
-        models: dict[str, MetaDSE] = {self._metric: self}
-        for metric, model in (objectives or {}).items():
-            if metric in models:
-                raise ValueError(f"duplicate objective metric {metric!r}")
-            if model.meta_model is None:
-                raise RuntimeError(f"objective model for {metric!r} is not pretrained")
-            models[metric] = model
-
-        adapted: dict[str, list[AdaptationResult]] = {}
-        for metric, model in models.items():
-            if metric == self._metric:
-                model_supports = supports
-            else:
-                model_supports = (objective_supports or {}).get(metric)
-                if model_supports is None:
-                    raise ValueError(
-                        f"objective_supports must provide support sets for {metric!r}"
-                    )
-            missing = [w for w in workloads if w not in model_supports]
-            if missing:
-                raise ValueError(f"supports for {metric!r} are missing workloads {missing}")
-            with obs.span("explore.adapt", metric=metric):
-                with self._thread_scope():
-                    adapted[metric] = model.adapt_many(
-                        [model_supports[workload] for workload in workloads]
-                    )
-
-        if store is not None and getattr(simulator, "store", None) is None:
-            simulator.attach_store(store)
-
-        objective_set = ObjectiveSet.from_names(tuple(models), maximize)
-        surrogates = {
-            workload: StackedPredictorSurrogate(
-                [adapted[metric][index].predictor for metric in models],
-                objective_set.names,
-                label_means=[models[metric]._label_mean for metric in models],
-                label_stds=[models[metric]._label_std for metric in models],
-            )
-            for index, workload in enumerate(workloads)
-        }
-        engine = CampaignEngine(
-            simulator.space,
-            simulator,
-            objective_set,
-            seed=seed,
-            screen_tile=screen_tile,
-        )
-
-        if focus is not None and not 0.0 < focus <= 1.0:
-            raise ValueError(f"focus must be in (0, 1], got {focus}")
-
-        def harvest_profile():
-            # One pooled profile for the campaign: probe once, harvest each
-            # workload's stacked surrogate, average.  Fixed-profile
-            # FocusedPool stays surrogate-independent, so the shared-pool
-            # fast path, the DAG runtime, and checkpoint resume all still
-            # apply.
-            from repro.designspace.sampling import RandomSampler
-            from repro.meta.wam import merge_profiles
-
-            probe = RandomSampler(simulator.space, seed=seed).sample(focus_probe)
-            probe_features = engine.encoder.encode_batch(probe)
-            with self._thread_scope():
-                return merge_profiles(
-                    [
-                        surrogates[workload].attention_profile(probe_features)
-                        for workload in workloads
-                    ]
-                )
-
-        generator = None
-        if strategy == "random":
-            if focus is not None:
-                from repro.dse.engine import FocusedPool
-
-                generator = FocusedPool(
-                    candidate_pool,
-                    keep_fraction=focus,
-                    coarse_levels=focus_levels,
-                    profile=harvest_profile() if focus < 1.0 else None,
-                    refocus=False,
-                )
-        elif strategy == "nsga2":
-            from repro.dse.engine import NSGA2Evolve
-
-            if focus is not None:
-                raise ValueError(
-                    "focus= prunes candidate pools, which NSGA-II evolution "
-                    "does not sample; use strategy='portfolio' to combine them"
-                )
-            generator = NSGA2Evolve(seed=seed)
-        elif strategy == "portfolio":
-            from repro.dse.engine import FocusedPool, NSGA2Evolve, RandomPool
-            from repro.dse.portfolio import StrategyPortfolio
-
-            keep = focus if focus is not None else 0.5
-            generator = StrategyPortfolio(
-                {
-                    "random": RandomPool(candidate_pool, seed=seed),
-                    "focused": FocusedPool(
-                        candidate_pool,
-                        keep_fraction=keep,
-                        coarse_levels=focus_levels,
-                        profile=harvest_profile() if keep < 1.0 else None,
-                        refocus=False,
-                        seed=seed,
-                    ),
-                    "nsga2": NSGA2Evolve(seed=seed),
-                }
-            )
-        else:
-            raise ValueError(
-                f"unknown strategy {strategy!r}: expected 'random', 'nsga2' "
-                f"or 'portfolio'"
-            )
-
-        from repro.runtime.executors import resolve_executor
-
-        campaign_executor = resolve_executor(jobs, executor)
-        try:
-            with self._thread_scope():
-                return engine.run_campaign(
-                    workloads,
-                    surrogates,
-                    generator=generator,
-                    candidate_pool=candidate_pool,
-                    simulation_budget=simulation_budget,
-                    rounds=rounds,
-                    executor=campaign_executor,
-                    checkpoint=checkpoint,
-                )
-        finally:
-            if campaign_executor is not None:
-                campaign_executor.shutdown()
+            finally:
+                if campaign_executor is not None:
+                    campaign_executor.shutdown()
 
     # -- inference -----------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:

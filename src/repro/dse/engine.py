@@ -26,14 +26,17 @@ The legacy explorers are thin strategy configurations over
 :meth:`CampaignEngine.run` (their pre-refactor loops survive as
 ``explore_reference``, pinned bitwise by
 ``tests/test_dse_engine_equivalence.py``).  On top,
-:meth:`CampaignEngine.run_campaign` explores *many* workloads at once from
-one shared candidate pool: the pool is sampled and encoded once, each
-workload screens it with its own multi-objective surrogate (one stacked
-forward when the surrogate supports it), and the union of all selections is
-measured with a single :meth:`~repro.sim.simulator.Simulator.run_sweep` —
-the batched cross-workload path ``MetaDSE.explore`` and the ``dse`` CLI
-subcommand drive, benchmarked in
-``benchmarks/test_dse_campaign_throughput.py``.
+:meth:`CampaignEngine.run_campaign` explores *many* workloads at once: each
+round, every workload screens candidates with its own multi-objective
+surrogate (one stacked forward when the surrogate supports it), and the
+union of all selections is measured with a single
+:meth:`~repro.sim.simulator.Simulator.run_sweep` — the batched
+cross-workload path ``MetaDSE.explore`` and the ``dse`` CLI subcommand
+drive, benchmarked in ``benchmarks/test_dse_campaign_throughput.py``.  It
+has one driver, the round-structured runtime in
+:mod:`repro.runtime.campaign`; serial is its one-worker case, so the
+executor never changes the outcome.  The pre-runtime single-round
+shared-pool loop survives as :meth:`CampaignEngine.run_campaign_reference`.
 """
 
 from __future__ import annotations
@@ -118,8 +121,10 @@ class ObjectiveSet:
 class CandidateGenerator(abc.ABC):
     """Propose candidate configurations for one screening round."""
 
-    #: Whether proposals depend on the surrogate (True disables the shared
-    #: cross-workload candidate pool in :meth:`CampaignEngine.run_campaign`).
+    #: Whether proposals depend on the surrogate (True rules out one shared
+    #: cross-workload candidate pool per round in
+    #: :meth:`CampaignEngine.run_campaign`, so such generators must be
+    #: :attr:`rank_stable` to run there).
     surrogate_dependent: bool = False
 
     #: Whether :meth:`propose_for` is a pure function of the generator's
@@ -292,10 +297,10 @@ class FocusedPool(CandidateGenerator):
        the surrogate as it refits between rounds;
     2. **fixed profile**: the ``profile=`` passed at construction — an
        :class:`~repro.meta.wam.ImportanceProfile` or raw score array.  This
-       is the form the shared-pool / runtime campaign paths use (propose is
-       called with ``surrogate=None`` there), which keeps the generator
-       surrogate-independent and therefore eligible for the shared pool,
-       DAG scheduling, and checkpoint resume.
+       is the form the campaign runtime's shared-pool mode uses (propose
+       is called with ``surrogate=None`` there), which keeps the generator
+       surrogate-independent and therefore eligible for the shared pool
+       and checkpoint resume.
 
     ``keep_fraction=1.0`` skips profiling entirely and draws from the
     engine's sampler exactly like :class:`RandomPool` — **bitwise**, the
@@ -752,8 +757,8 @@ class WorkloadCampaignResult:
     rounds: list[CampaignRound] = field(default_factory=list)
     #: Indices of this workload's acquisition picks.  For a single-workload
     #: :meth:`CampaignEngine.run` these index the *last candidate pool*; for
-    #: a shared-pool campaign they index ``simulated_configs`` (which then
-    #: holds the measured selection union).
+    #: a cross-workload campaign they index ``simulated_configs`` (which then
+    #: holds the measured selection unions of every round).
     selected_indices: list[int] = field(default_factory=list)
     #: Surrogate predictions for the last screened pool (original sense).
     predicted: Optional[np.ndarray] = None
@@ -1055,76 +1060,57 @@ class CampaignEngine:
     ) -> CampaignResult:
         """Explore many workloads in one batched campaign.
 
-        With a surrogate-independent generator and a single round (the
-        default), the campaign runs the **shared-pool** fast path: one
-        candidate pool is sampled and encoded once, every workload screens
-        it with its own surrogate, and the union of all per-workload
-        selections is measured with a single
-        :meth:`~repro.sim.simulator.Simulator.run_sweep` (configurations
-        encoded once for all workloads; an opt-in
-        ``Simulator(evaluation_cache=True)`` then makes overlapping or
-        repeated selections free).  Every workload's result contains the
-        full measured union — measurements made for one workload's picks
-        are valid (and freely available) observations for the others — with
-        its own acquisition picks recorded in ``selected_indices``.
-
-        Multi-round / refitting / surrogate-dependent-generator campaigns
-        fall back to per-workload :meth:`run` loops, which still share the
-        simulator's phase tables and evaluation cache.  Rank-stable
-        generators (seeded pools, ``NSGA2Evolve``, ``StrategyPortfolio``)
-        never fall back: they always run the runtime's per-workload-pool
-        rounds — on a :class:`~repro.runtime.executors.SerialExecutor`
-        when no executor is given — so ``executor``/``jobs`` change
-        throughput but never the campaign outcome.
-
-        With an *executor* (:mod:`repro.runtime.executors`) and/or a
-        *checkpoint* path, the campaign is dispatched through the parallel
-        campaign runtime instead (:mod:`repro.runtime.campaign`): each
-        round's per-workload screen steps become DAG jobs joined by a
-        sharded union-measure sweep, completed rounds are checkpointed so
-        a killed campaign resumes from the last completed round, and the
-        results are **bitwise identical** to the
-        :class:`~repro.runtime.executors.SerialExecutor` reference (which
-        itself reproduces the single-round shared-pool path exactly).
-        Multi-round/refit campaigns keep the shared-pool-per-round
-        structure there instead of falling back to per-workload loops.
-        Rank-stable generators (seeded pools, ``NSGA2Evolve``,
-        :class:`~repro.dse.portfolio.StrategyPortfolio`) run the runtime's
-        per-workload-pool mode instead — pools proposed inside the screen
-        jobs from keyed pure RNG streams; surrogate-dependent generators
-        that are *not* rank-stable are rejected there.
+        Each round, every workload screens candidates with its own
+        surrogate and the union of all selections is measured on every
+        workload with one :meth:`~repro.sim.simulator.Simulator.run_sweep`;
+        each workload's result holds the full measured union, with its own
+        picks in ``selected_indices``.  This is
+        :func:`repro.runtime.campaign.run_campaign_runtime`: without an
+        *executor* it runs on a
+        :class:`~repro.runtime.executors.SerialExecutor`, so the executor
+        changes throughput but never the outcome, and a *checkpoint* path
+        makes a killed campaign resume from its last completed round
+        (``docs/runtime.md``).
         """
-        if (
-            executor is None
-            and checkpoint is None
-            and generator is not None
-            and generator.rank_stable
-        ):
-            # Rank-stable generators define their campaign semantics on the
-            # runtime's per-workload-pool rounds (keyed pools, union
-            # measure — docs/portfolio.md): run them there even without an
-            # executor, so `jobs=N` changes throughput but never the
-            # outcome.
-            from repro.runtime.executors import SerialExecutor
+        from repro.runtime.campaign import run_campaign_runtime
 
-            executor = SerialExecutor()
-        if executor is not None or checkpoint is not None:
-            from repro.runtime.campaign import run_campaign_runtime
+        return run_campaign_runtime(
+            self,
+            workloads,
+            surrogates,
+            generator=generator,
+            acquisition=acquisition,
+            candidate_pool=candidate_pool,
+            simulation_budget=simulation_budget,
+            rounds=rounds,
+            initial_samples=initial_samples,
+            refit=refit,
+            executor=executor,
+            checkpoint=checkpoint,
+        )
 
-            return run_campaign_runtime(
-                self,
-                workloads,
-                surrogates,
-                generator=generator,
-                acquisition=acquisition,
-                candidate_pool=candidate_pool,
-                simulation_budget=simulation_budget,
-                rounds=rounds,
-                initial_samples=initial_samples,
-                refit=refit,
-                executor=executor,
-                checkpoint=checkpoint,
-            )
+    def run_campaign_reference(
+        self,
+        workloads: Sequence[str],
+        surrogates: SurrogateProvider,
+        *,
+        generator: Optional[CandidateGenerator] = None,
+        acquisition: Optional[AcquisitionStrategy] = None,
+        candidate_pool: int = 1000,
+        simulation_budget: int = 20,
+    ) -> CampaignResult:
+        """Executable spec of a single-round shared-pool campaign.
+
+        The pre-runtime in-engine loop, kept as the reference
+        ``tests/test_runtime_equivalence.py`` pins :meth:`run_campaign`
+        against bitwise (like ``explore_reference`` and
+        :meth:`~repro.sim.simulator.Simulator.run_scalar`): one pool is
+        proposed and encoded once, every workload screens it with its own
+        surrogate, and the sorted union of the selections is measured with
+        one :meth:`~repro.sim.simulator.Simulator.run_sweep`.  Only
+        surrogate-independent generators apply.  Not a production path —
+        :meth:`run_campaign` never dispatches here.
+        """
         workloads = list(workloads)
         if not workloads:
             raise ValueError("run_campaign needs at least one workload")
@@ -1134,37 +1120,6 @@ class CampaignEngine:
         else:
             surrogate_for = surrogates.__getitem__
         acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
-
-        shared_pool = (
-            rounds == 1
-            and initial_samples == 0
-            and not refit
-            and (generator is None or not generator.surrogate_dependent)
-        )
-        if not shared_pool:
-            if generator is None:
-                generator = RandomPool(candidate_pool)
-            per_workload = {
-                workload: self.run(
-                    workload,
-                    surrogate_for(workload),
-                    generator=generator,
-                    acquisition=acquisition,
-                    simulation_budget=simulation_budget,
-                    rounds=rounds,
-                    initial_samples=initial_samples,
-                    refit=refit,
-                )
-                for workload in workloads
-            }
-            return CampaignResult(
-                per_workload=per_workload,
-                objectives=self.objectives,
-                candidates_screened=next(iter(per_workload.values())).candidates_screened,
-                total_simulations=sum(
-                    result.simulations_used for result in per_workload.values()
-                ),
-            )
 
         if generator is None:
             generator = RandomPool(candidate_pool)

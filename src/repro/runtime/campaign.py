@@ -1,8 +1,9 @@
-r"""The round-structured parallel campaign driver.
+r"""The round-structured campaign driver.
 
-:meth:`repro.dse.engine.CampaignEngine.run_campaign` delegates here
-whenever an ``executor`` or ``checkpoint`` is requested.  Each campaign
-round is dispatched as a small DAG:
+:meth:`repro.dse.engine.CampaignEngine.run_campaign` delegates every
+campaign here; without an ``executor`` it runs on a
+:class:`~repro.runtime.executors.SerialExecutor`, the one-worker case of
+the same driver.  Each campaign round is dispatched as a small DAG:
 
 ```
  screen:<w1>@round_r  screen:<w2>@round_r  ...  screen:<wN>@round_r
@@ -24,8 +25,9 @@ sampler-stream consumer, regardless of executor), screening is a pure
 function of ``(surrogate, pool, accumulated measurements)``, the union is
 sorted, and the sweep merges shards in fixed order — so thread/process
 campaigns are **bitwise identical** to the
-:class:`~repro.runtime.executors.SerialExecutor` reference, which in turn
-reproduces the legacy single-round shared-pool path exactly
+:class:`~repro.runtime.executors.SerialExecutor` run, whose single round
+in turn reproduces the shared-pool executable spec
+:meth:`~repro.dse.engine.CampaignEngine.run_campaign_reference` exactly
 (``tests/test_runtime_equivalence.py``).
 
 Rank-stable generators (``NSGA2Evolve`` and ``RandomPool``/``FocusedPool``
@@ -38,7 +40,7 @@ mutable stream sharding could reorder — and the measure join unions the
 selected *configurations* (deduplicated in fixed workload order) before
 the one sweep.  This is what admits surrogate-dependent strategies
 (NSGA-II evolution needs the round's surrogate, which lives in the screen
-job) to the parallel path; only surrogate-dependent generators with a
+job) to the campaign driver; only surrogate-dependent generators with a
 shared mutable stream (``NSGA2Evolve`` seeded with an existing numpy
 ``Generator``) remain rejected.  See ``docs/runtime.md`` and
 ``docs/portfolio.md``.
@@ -207,12 +209,12 @@ def run_campaign_runtime(
     executor: Optional[Executor] = None,
     checkpoint=None,
 ) -> "CampaignResult":
-    """Run a cross-workload campaign through the parallel runtime.
+    """Run a cross-workload campaign: the body of ``run_campaign``.
 
-    Same semantics per round as the engine's shared-pool fast path,
-    generalised to multiple rounds (every round screens a fresh shared
-    pool against all measurements so far and measures the selection
-    union on all workloads), dispatched as DAG jobs on *executor* and
+    Every round screens fresh candidates against all measurements so far
+    (one shared pool, or one keyed pool per workload for rank-stable
+    generators) and measures the selection union on every workload, as DAG
+    jobs on *executor* (a :class:`SerialExecutor` when ``None``),
     checkpointed per round when *checkpoint* is given.
 
     With a persistent measurement store attached to the engine's
@@ -257,11 +259,11 @@ def run_campaign_runtime(
     per_workload_pools = bool(getattr(generator, "rank_stable", False))
     if generator.surrogate_dependent and not per_workload_pools:
         raise ValueError(
-            f"the parallel campaign runtime needs a surrogate-independent "
-            f"or rank-stable generator; {type(generator).__name__} proposes "
-            f"per workload from a shared mutable RNG stream — seed it with "
-            f"an int (keyed per-(workload, round) streams) or use the "
-            f"serial run_campaign path (executor=None, checkpoint=None)"
+            f"run_campaign needs a surrogate-independent or rank-stable "
+            f"generator; {type(generator).__name__} proposes per workload "
+            f"from a shared mutable RNG stream — seed it with an int (keyed "
+            f"per-(workload, round) streams), or explore one workload at a "
+            f"time with the single-workload CampaignEngine.run"
         )
     acquisition = acquisition if acquisition is not None else ParetoRankAcquisition()
     noise_std = getattr(engine.simulator, "noise_std", 0.0)

@@ -258,10 +258,10 @@ def resolve_executor(
 ) -> Optional[Executor]:
     """Map the user-facing ``jobs=N`` knob to an executor instance.
 
-    ``None`` stays ``None`` (callers treat that as "keep the serial legacy
-    path"); ``jobs <= 1`` or ``kind="serial"`` is the
-    :class:`SerialExecutor` reference; otherwise a thread or process pool
-    of the requested width.
+    ``None`` stays ``None`` (callers treat that as their serial path —
+    for campaigns, the one-worker :class:`SerialExecutor` case);
+    ``jobs <= 1`` or ``kind="serial"`` is the :class:`SerialExecutor`
+    reference; otherwise a thread or process pool of the requested width.
     """
     if jobs is None:
         return None

@@ -398,7 +398,7 @@ class TestTraceCli:
         records = obs.read_trace(trace_path)
         spans = obs.validate_trace(records)
         names = {span["name"] for span in spans.values()}
-        assert {"campaign.round", "campaign.measure", "sim.run_batch"} <= names
+        assert {"campaign.round", "campaign.measure", "dag.job", "sim.run_sweep"} <= names
         capsys.readouterr()
 
         summary_json = tmp_path / "summary.json"
@@ -412,11 +412,34 @@ class TestTraceCli:
         assert "campaign.round" in printed
         summary = json.loads(summary_json.read_text())
         assert summary["span_count"] == len(spans)
-        # Serial engine rounds are per workload: 2 workloads x 2 rounds.
-        assert summary["counters"]["campaign.rounds"] == 4.0
+        # One count per campaign round, whatever the number of workloads.
+        assert summary["counters"]["campaign.rounds"] == 2.0
 
         assert main(["trace", "timeline", str(trace_path)]) == 0
         assert "campaign.measure" in capsys.readouterr().out
+
+    def test_dse_jobs_never_change_the_campaign(self, dataset_path, tmp_path):
+        from repro import obs
+
+        def run(extra):
+            output = tmp_path / f"campaign{len(extra)}.json"
+            trace_path = tmp_path / f"campaign{len(extra)}.trace.jsonl"
+            assert self._run_campaign(
+                dataset_path,
+                ["--output", str(output), "--trace", str(trace_path), *extra],
+            ) == 0
+            counters = obs.summarize_trace(obs.read_trace(trace_path))["counters"]
+            deterministic = {
+                name: value
+                for name, value in counters.items()
+                if not name.endswith("_s")
+            }
+            return json.loads(output.read_text()), deterministic
+
+        serial_summary, serial_counters = run([])
+        parallel_summary, parallel_counters = run(["--jobs", "2"])
+        assert parallel_summary == serial_summary
+        assert parallel_counters == serial_counters
 
     def test_metadse_dse_trace(self, dataset_path, model_path, tmp_path):
         from repro import obs

@@ -308,25 +308,6 @@ class TestCampaignEngine:
                 second[workload].measured_objectives,
             )
 
-    def test_multi_round_campaign_falls_back_to_per_workload(self, engine):
-        campaign = engine.run_campaign(
-            WORKLOADS,
-            lambda workload: TreeEnsembleSurrogate(
-                lambda: GradientBoostingRegressor(n_estimators=10, max_depth=2, seed=0),
-                engine.objectives.names,
-            ),
-            acquisition=ExplorationBonusAcquisition(),
-            candidate_pool=40,
-            simulation_budget=3,
-            rounds=2,
-            initial_samples=4,
-            refit=True,
-        )
-        for result in campaign:
-            assert result.simulations_used == 4 + 2 * 3
-            assert [r.simulations_total for r in result.rounds] == [7, 10]
-        assert campaign.total_simulations == 2 * 10
-
     def test_campaign_summary_is_json_serialisable(self, engine):
         import json
 

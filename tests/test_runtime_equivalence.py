@@ -18,7 +18,8 @@ import pytest
 from repro.baselines.trees import GradientBoostingRegressor
 from repro.datasets.generation import generate_dataset
 from repro.designspace.sampling import RandomSampler
-from repro.dse.engine import CampaignEngine, NSGA2Evolve, ObjectiveSet
+from repro.dse.acquisition import ExplorationBonusAcquisition
+from repro.dse.engine import CampaignEngine, NSGA2Evolve, ObjectiveSet, RandomPool
 from repro.dse.surrogates import CallableSurrogate, TreeEnsembleSurrogate
 from repro.runtime.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.sim.simulator import Simulator
@@ -219,7 +220,7 @@ def _assert_campaigns_bitwise_equal(reference, candidate):
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("make_executor", _executor_factories())
     def test_single_round_matches_legacy_shared_pool_bitwise(self, make_executor):
-        legacy = make_engine().run_campaign(
+        legacy = make_engine().run_campaign_reference(
             WORKLOADS, callable_surrogates(), candidate_pool=60, simulation_budget=5
         )
         with make_executor() as executor:
@@ -254,23 +255,76 @@ class TestCampaignEquivalence:
             )
         _assert_campaigns_bitwise_equal(reference, parallel)
 
+    @pytest.mark.parametrize(
+        "surrogates, kwargs",
+        [
+            pytest.param(
+                callable_surrogates,
+                dict(generator=RandomPool(40), simulation_budget=4, rounds=3),
+                id="unseeded-random-pool",
+            ),
+            pytest.param(
+                tree_surrogates,
+                dict(
+                    acquisition=ExplorationBonusAcquisition(),
+                    candidate_pool=40,
+                    simulation_budget=3,
+                    rounds=2,
+                    initial_samples=4,
+                    refit=True,
+                ),
+                id="refit-trees",
+            ),
+        ],
+    )
+    def test_executor_never_changes_the_outcome(self, surrogates, kwargs):
+        # No executor is the one-worker case of the same runtime driver, so
+        # executor=None, serial and threaded campaigns are one campaign.
+        def campaign(executor):
+            return make_engine().run_campaign(
+                WORKLOADS, surrogates(), executor=executor, **kwargs
+            )
+
+        reference = campaign(None)
+        _assert_campaigns_bitwise_equal(reference, campaign(SerialExecutor()))
+        with ThreadExecutor(2) as executor:
+            _assert_campaigns_bitwise_equal(reference, campaign(executor))
+
+        # Union semantics: every round measures the union of all workloads'
+        # picks on every workload.
+        budget = kwargs["simulation_budget"]
+        initial_samples = kwargs.get("initial_samples", 0)
+        first = reference[WORKLOADS[0]]
+        totals = [initial_samples] + [r.simulations_total for r in first.rounds]
+        union_sizes = np.diff(totals)
+        assert len(union_sizes) == kwargs["rounds"]
+        assert all(budget <= size <= budget * len(WORKLOADS) for size in union_sizes)
+        last_union = set().union(*(reference[w].selected_indices for w in WORKLOADS))
+        assert last_union == set(range(totals[-2], totals[-1]))
+        for result in reference:
+            assert result.simulations_used == initial_samples + union_sizes.sum()
+            assert result.simulated_configs == first.simulated_configs
+        assert reference.total_simulations == first.simulations_used * len(WORKLOADS)
+
     def test_shared_stream_surrogate_dependent_generator_is_rejected(self):
         # Int-seeded NSGA2Evolve is rank-stable and accepted (pinned by
         # tests/test_dse_portfolio_equivalence.py); seeding with an existing
         # Generator keeps the legacy shared mutable stream, which the
-        # runtime cannot shard or resume deterministically.
+        # runtime cannot shard or resume deterministically — on any
+        # executor, the default one-worker case included.
         shared_stream = NSGA2Evolve(
             population_size=8, generations=2, seed=np.random.default_rng(0)
         )
         assert not shared_stream.rank_stable
-        with pytest.raises(ValueError, match="rank-stable"):
-            make_engine().run_campaign(
-                WORKLOADS,
-                callable_surrogates(),
-                generator=shared_stream,
-                simulation_budget=4,
-                executor=SerialExecutor(),
-            )
+        for executor in (None, SerialExecutor()):
+            with pytest.raises(ValueError, match="rank-stable"):
+                make_engine().run_campaign(
+                    WORKLOADS,
+                    callable_surrogates(),
+                    generator=shared_stream,
+                    simulation_budget=4,
+                    executor=executor,
+                )
 
     def test_refit_requires_refittable_surrogates(self):
         with pytest.raises(ValueError, match="refittable"):
